@@ -89,8 +89,7 @@ class RelationIndexCache:
     delta through :meth:`Relation.add`/:meth:`Relation.discard`, which
     maintain every index in O(|delta|).
 
-    Under columnar storage each cached relation also carries its
-    interned columnar mirror: derivation clones the mirror (rows and
+    Each cached relation also carries its interned columnar mirror: derivation clones the mirror (rows and
     columnar indexes) along with the row indexes, and the weighted
     ``delta_ops`` maintain both through :meth:`Relation.add`/
     :meth:`Relation.discard` — so the batch joins of round ``N+1``
@@ -251,19 +250,11 @@ class CompiledProgramCache:
         max_plans: int = 8,
         relation_cache_size: int = 256,
         analysis: "ProgramAnalysis | None" = None,
-        storage: str = "columnar",
     ) -> None:
-        if storage not in ("row", "columnar"):
-            raise ValueError(
-                f"unknown storage {storage!r}; choose 'row' or 'columnar'"
-            )
-        self.storage = storage
-        #: shared intern pool under columnar storage (None for row);
-        #: survives invalidation — interned values stay valid across
-        #: program edits, only the relations keyed on them are dropped
-        self.pool: InternPool | None = (
-            InternPool() if storage == "columnar" else None
-        )
+        #: shared intern pool; survives invalidation — interned values
+        #: stay valid across program edits, only the relations keyed on
+        #: them are dropped
+        self.pool = InternPool()
         self._program = program
         self._fingerprint = repr(program)
         self._analysis = _usable_analysis(program, analysis)
@@ -296,7 +287,7 @@ class CompiledProgramCache:
         #: (insert-of-present, delete-of-absent, coalesced pairs) and
         #: therefore skipped all downstream compile/index work
         self.cancelled_ops = 0
-        #: weighted ops interned into the columnar delta (0 for row)
+        #: weighted ops interned into the columnar delta
         self.interned_ops = 0
 
     # ------------------------------------------------------------------
@@ -405,7 +396,7 @@ class CompiledProgramCache:
             self._count("cancelled_ops", cancelled)
         edb_new = apply_zdelta(edb_old, zdelta)
         touched = zdelta.touched_predicates()
-        if self.pool is not None and not zdelta.is_empty:
+        if not zdelta.is_empty:
             # intern the surviving weighted ops up front: any constant
             # the round introduces gets its id (and per-predicate row
             # memo) before evaluation or index derivation touches it
@@ -569,7 +560,7 @@ class CompiledProgramCache:
 
     def stats(self) -> dict:
         """Counter snapshot (also exported via the metrics registry)."""
-        out = {
+        return {
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
@@ -577,10 +568,7 @@ class CompiledProgramCache:
             "plan_binds": self.plan_binds,
             "rollbacks": self.rollbacks,
             "cancelled_ops": self.cancelled_ops,
-            "storage": self.storage,
             "interned_ops": self.interned_ops,
             "relations": self.relations.stats(),
+            "pool": self.pool.stats(),
         }
-        if self.pool is not None:
-            out["pool"] = self.pool.stats()
-        return out

@@ -5,8 +5,9 @@ round into a static DAG whose nodes are EDB sources, rule-instance
 tasks, and predicate-state nodes. This module turns that DAG into an
 :class:`ExecutionPlan`: every node becomes a :class:`WorkUnit` whose
 ``execute`` *actually applies* the node's semi-naive delta rule (or
-state merge) to the values produced by its DAG inputs, via the same
-:mod:`repro.datalog.unify` joins the evaluator uses.
+state merge) to the values produced by its DAG inputs, via the
+columnar batch joins of :mod:`repro.datalog.columnar` over interned
+relation mirrors.
 
 The diff between a unit's output and its recorded value under the old
 materialization is the paper's changed/unchanged signal, computed from
@@ -52,7 +53,6 @@ from .columnar import InternPool, eval_rule_columnar
 from .compiler import CompiledUpdate, _cumulative_states
 from .database import Database, Relation
 from .depgraph import DependencyGraph
-from .unify import eval_rule, instantiate_head, join_body
 from .zset import ZSetDelta
 
 __all__ = [
@@ -130,9 +130,7 @@ class RoundCtx:
 
     __slots__ = ("baseline", "rel", "baseline_edb", "pool")
 
-    def __init__(
-        self, rel: RelationFactory, pool: InternPool | None = None
-    ) -> None:
+    def __init__(self, rel: RelationFactory, pool: InternPool) -> None:
         #: predicate → program facts ∪ its facts in the round's new EDB
         #: — the entry state of a stratum-local predicate, and the
         #: value an EDB node publishes
@@ -143,9 +141,8 @@ class RoundCtx:
         #: cache's weighted patching checks it by identity before
         #: updating only the touched predicates
         self.baseline_edb: Database | None = None
-        #: intern pool: when set, task joins run the columnar batch
-        #: evaluator over each relation's interned mirror
-        self.pool: InternPool | None = pool
+        #: intern pool keying every join input's columnar mirror
+        self.pool: InternPool = pool
 
 
 @dataclass
@@ -238,12 +235,9 @@ class PlanSkeleton:
     ) -> None:
         program = cu.program
         self.program = program
-        #: intern pool stamped into every bound plan's RoundCtx; None
-        #: keeps the row (dict-substitution) join path
-        self.pool = pool
-        #: node → input node ids, derived lazily from the wiring (the
-        #: process executor ships exactly these values per dispatch)
-        self._input_nodes: dict[int, tuple[int, ...]] = {}
+        #: intern pool stamped into every bound plan's RoundCtx; a
+        #: skeleton built without one gets a private pool
+        self.pool = pool if pool is not None else InternPool()
         #: proper-rule index → body evaluation order (analyzer hint);
         #: rules without an entry evaluate in textual order
         self.join_orders: dict[int, tuple[int, ...]] = dict(
@@ -319,39 +313,6 @@ class PlanSkeleton:
             return self.key_to_id[("edb", p)]
         si = self.stratum_of[p]
         return self.key_to_id[("pred", p, si, self.n_iters[si] - 1)]
-
-    def input_nodes(self, nid: int) -> tuple[int, ...]:
-        """The node ids whose values ``nid``'s unit closure reads.
-
-        EDB nodes read only the round baseline; predicate-state nodes
-        read their predecessor state plus their writer tasks; task nodes
-        read their wired sources and Δ-window states. The process
-        executor serializes exactly these values into each dispatch.
-        """
-        deps = self._input_nodes.get(nid)
-        if deps is not None:
-            return deps
-        key = self.node_keys[nid]
-        if key[0] == "edb":
-            deps = ()
-        elif key[0] == "pred":
-            _, p, si, k = key
-            prev = (
-                (self.key_to_id[("pred", p, si, k - 1)],) if k > 0 else ()
-            )
-            deps = prev + tuple(self.writers.get((p, si, k), ()))
-        else:
-            w = self.task_wiring[nid]
-            seen: list[int] = []
-            for src in w.sources.values():
-                if src is not None and src not in seen:
-                    seen.append(src)
-            for extra in (w.delta_cur, w.delta_prev):
-                if extra is not None and extra not in seen:
-                    seen.append(extra)
-            deps = tuple(seen)
-        self._input_nodes[nid] = deps
-        return deps
 
     def _wire_task(
         self, si: int, k: int, ri: int, pos: int | None
@@ -486,13 +447,10 @@ class PlanSkeleton:
                     values[src] if src is not None else ctx.baseline[q]
                 )
                 db.relations[q] = ctx.rel(q, arity_of[q], facts)
-            pool = ctx.pool
             if pos is None:
-                if pool is not None:
-                    return frozenset(
-                        eval_rule_columnar(rule, db, pool, order=order)
-                    )
-                return frozenset(eval_rule(rule, db, order=order))
+                return frozenset(
+                    eval_rule_columnar(rule, db, ctx.pool, order=order)
+                )
             older = (
                 values[delta_prev]
                 if delta_prev is not None
@@ -502,18 +460,9 @@ class PlanSkeleton:
             if not delta_facts:
                 return frozenset()
             delta_rel = _fresh_relation(dq, arity_of[dq], delta_facts)
-            if pool is not None:
-                return frozenset(
-                    eval_rule_columnar(
-                        rule, db, pool,
-                        delta_overrides={dq: delta_rel}, delta_at=pos,
-                        order=order,
-                    )
-                )
             return frozenset(
-                instantiate_head(rule.head, subst)
-                for subst in join_body(
-                    rule.body, db,
+                eval_rule_columnar(
+                    rule, db, ctx.pool,
                     delta_overrides={dq: delta_rel}, delta_at=pos,
                     order=order,
                 )
@@ -625,7 +574,8 @@ def build_execution_plan(
 
     ``join_orders`` maps proper-rule indexes of ``cu.program`` to body
     evaluation orders (the static analyzer's cartesian-join hints).
-    ``pool`` switches every task unit to the columnar batch joins.
+    ``pool`` is the intern pool the task joins share; without one the
+    plan interns into a private pool.
     """
     return PlanSkeleton(cu, join_orders=join_orders, pool=pool).bind(
         cu, relation_factory=relation_factory

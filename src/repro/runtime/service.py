@@ -44,8 +44,9 @@ Failure must never corrupt the queue or lose updates, so
 Tracing
 -------
 Pass a recording :class:`~repro.obs.TraceSink` as ``sink`` and every
-round emits nested spans — ``queue_wait`` / ``drain`` / ``merge``,
-then a ``round`` span containing ``compile`` / ``plan-build`` /
+round emits ``queue_wait`` / ``drain`` spans, then a ``round`` span
+that opens where the round's latency clock starts and contains
+``merge`` / ``compile`` / ``plan-build`` /
 ``execute`` (itself containing the executor's per-unit worker spans
 and scheduler decision counters) / ``verify`` — which the Chrome
 exporter renders as one timeline. With the default
@@ -81,7 +82,6 @@ from ..verify.invariants import VerificationReport
 from ..verify.program import ProgramAnalysis, analyze_program
 from .chaos import ChaosInjector, ChaosPlan, InjectedPhaseFault
 from .executor import (
-    EXECUTOR_BACKENDS,
     RetryPolicy,
     RoundExecutor,
     UnitExecutionError,
@@ -103,15 +103,11 @@ __all__ = [
     "ServiceUnavailableError",
     "UpdateStreamService",
     "SHED_POLICIES",
-    "STORAGE_CHOICES",
     "STRATEGY_CHOICES",
 ]
 
 #: load-shedding behavior when backpressure and degradation coincide
 SHED_POLICIES = ("reject", "drop-oldest", "coalesce-harder")
-
-#: relation-storage layouts for the evaluation hot path
-STORAGE_CHOICES = ("row", "columnar")
 
 #: maintenance strategies the service's shadow oracle accepts
 STRATEGY_CHOICES = tuple(sorted(MAINTENANCE_STRATEGIES)) + ("counting",)
@@ -205,23 +201,10 @@ class UpdateStreamService:
     scheduler:
         The one scheduler instance reused across all rounds.
     workers:
-        Worker-pool width per round (lanes of the chosen executor
-        backend).
-    executor:
-        Executor backend for the concurrent fast path: ``"thread"``
-        (default) runs units on shared-memory worker threads,
-        ``"process"`` forks worker processes per round so CPU-bound
-        joins escape the GIL (diff-serialized hand-off, identical
-        supervision/retry/chaos semantics — see
-        :mod:`repro.runtime.procpool`). Degraded fallback rounds are
-        always serial regardless of backend.
-    storage:
-        Relation-storage layout of the evaluation hot path:
-        ``"columnar"`` (default) interns constants into integer ids and
-        runs the vectorized batch joins of
-        :mod:`repro.datalog.columnar`; ``"row"`` keeps the historical
-        per-tuple dict-substitution joins. Materializations are
-        byte-identical either way (the differential suite pins this).
+        Worker-thread lanes per round. Units run the columnar batch
+        joins of :mod:`repro.datalog.columnar` over constants interned
+        into one :class:`~repro.datalog.columnar.InternPool` per
+        service; degraded fallback rounds run the same units serially.
     capacity:
         Bound of the update queue (backpressure threshold).
     verify:
@@ -308,8 +291,6 @@ class UpdateStreamService:
         edb: Database,
         scheduler: Scheduler,
         workers: int = 4,
-        executor: str = "thread",
-        storage: str = "columnar",
         capacity: int = 64,
         verify: bool = True,
         strict: bool = True,
@@ -349,21 +330,9 @@ class UpdateStreamService:
                 f"maintenance must be one of {STRATEGY_CHOICES}, "
                 f"got {maintenance!r}"
             )
-        if executor not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_BACKENDS}, "
-                f"got {executor!r}"
-            )
-        if storage not in STORAGE_CHOICES:
-            raise ValueError(
-                f"storage must be one of {STORAGE_CHOICES}, "
-                f"got {storage!r}"
-            )
         self.program = program
         self.scheduler = scheduler
         self.workers = workers
-        self.executor = executor
-        self.storage = storage
         self.verify = verify
         self.strict = strict
         self.deadline_s = deadline_s
@@ -383,17 +352,16 @@ class UpdateStreamService:
                 metrics=obs_metrics,
                 sink=sink,
                 analysis=self.analysis,
-                storage=storage,
             )
             if plan_cache
             else None
         )
-        #: intern pool for cold (cache-bypassed) columnar plan builds;
-        #: the cached path uses the plan cache's own pool instead
-        self._pool: InternPool | None = (
-            InternPool()
-            if storage == "columnar" and not plan_cache
-            else None
+        #: the service's one intern pool: the plan cache's when there is
+        #: one, so cold (degraded) plan builds share its ids
+        self._pool = (
+            self.plan_cache.pool
+            if self.plan_cache is not None
+            else InternPool()
         )
         #: (builds, probes) pool counters at the end of the last round,
         #: so per-round metrics report deltas
@@ -607,35 +575,45 @@ class UpdateStreamService:
         batches, stamps, n_queue = self._drain(block, timeout)
         if not batches:
             return None
-        t_round = perf_counter()
         sink = self.sink
-        oldest = min(stamps)
-        queue_wait_s = max(0.0, t_round - oldest)
-        delta = merge_deltas(batches)
-        if sink.enabled:
-            sink.record_span_abs(
-                "queue_wait", "queue", oldest, t_round,
-                args={"batches": len(batches)},
-            )
-            sink.record_span_abs(
-                "drain", "phase", t_drain, t_round,
-                args={"batches": len(batches), "from_queue": n_queue},
-            )
-            sink.record_span_abs("merge", "phase", t_round, perf_counter())
-        degraded = self.health.plan_round()
-        try:
-            report = self._maintain(
-                delta, len(batches), depth, t_round, queue_wait_s,
-                degraded=degraded,
-            )
-        except BaseException as exc:
-            self.health.record_failure(self._rounds_run, type(exc).__name__)
-            self._note_failed_round(delta, oldest, exc)
-            raise
-        finally:
-            for _ in range(n_queue):
-                self._queue.task_done()
-        self.health.record_success(report.index, degraded)
+        # the span opens before the latency clock starts, so it covers
+        # every step the round's latency_s counts
+        with sink.span(
+            "round", "round",
+            args={"index": self._rounds_run, "batches": len(batches)},
+        ) as sp_round:
+            t_round = perf_counter()
+            oldest = min(stamps)
+            queue_wait_s = max(0.0, t_round - oldest)
+            try:
+                with sink.span("merge", "phase"):
+                    delta = merge_deltas(batches)
+                if sink.enabled:
+                    sink.record_span_abs(
+                        "queue_wait", "queue", oldest, t_round,
+                        args={"batches": len(batches)},
+                    )
+                    sink.record_span_abs(
+                        "drain", "phase", t_drain, t_round,
+                        args={"batches": len(batches), "from_queue": n_queue},
+                    )
+                degraded = self.health.plan_round()
+                sp_round.set("degraded", degraded)
+                try:
+                    report = self._maintain(
+                        delta, len(batches), depth, t_round, queue_wait_s,
+                        degraded=degraded,
+                    )
+                except BaseException as exc:
+                    self.health.record_failure(
+                        self._rounds_run, type(exc).__name__
+                    )
+                    self._note_failed_round(delta, oldest, exc)
+                    raise
+            finally:
+                for _ in range(n_queue):
+                    self._queue.task_done()
+            self.health.record_success(report.index, degraded)
         self._round_attempts = 0
         return report
 
@@ -675,15 +653,8 @@ class UpdateStreamService:
 
     def _pool_round_stats(self) -> tuple[int, int, int]:
         """``(intern table size, builds Δ, probes Δ)`` for the round
-        that just finished; zeros under row storage."""
-        pool = (
-            self.plan_cache.pool
-            if self.plan_cache is not None
-            else self._pool
-        )
-        if pool is None:
-            return 0, 0, 0
-        s = pool.stats()
+        that just finished."""
+        s = self._pool.stats()
         b0, p0 = self._pool_counts
         self._pool_counts = (s["columnar_builds"], s["columnar_probes"])
         return (
@@ -739,7 +710,6 @@ class UpdateStreamService:
             queue_wait_s=queue_wait_s,
             cancelled_ops=cancelled,
             noop=True,
-            backend=self.executor,
         )
         self.metrics.append(metrics)
         self._rounds_run += 1
@@ -787,197 +757,179 @@ class UpdateStreamService:
             chaos.begin_round(self._maintain_epoch)
         self._maintain_epoch += 1
         faults0 = chaos.injected_total if chaos is not None else 0
-        backend = "serial" if degraded else self.executor
-        with sink.span(
-            "round", "round",
-            args={
-                "index": self._rounds_run,
-                "batches": n_batches,
-                "degraded": degraded,
-                "backend": backend,
-                "storage": self.storage,
-            },
-        ):
-            t0 = perf_counter()
-            cache = self.plan_cache if not degraded else None
-            if chaos is not None and chaos.phase_fails("compile"):
-                raise InjectedPhaseFault("compile", self._rounds_run)
-            with sink.span("compile", "phase"):
-                if cache is not None:
-                    cu = cache.compile(
-                        self.program,
-                        self._edb,
-                        delta,
-                        work_per_derivation=self.work_per_derivation,
-                        name=f"{self.name}:r{self._rounds_run}",
-                    )
-                else:
-                    cu = compile_update(
-                        self.program,
-                        self._edb,
-                        delta,
-                        work_per_derivation=self.work_per_derivation,
-                        name=f"{self.name}:r{self._rounds_run}",
-                        analysis=self.analysis,
-                    )
-            with sink.span("plan-build", "phase"):
-                if cache is not None:
-                    plan = cache.plan(cu)
-                else:
-                    join_orders = (
-                        self.analysis.join_orders_for(cu.program)
-                        if self.analysis is not None
-                        else None
-                    )
-                    plan = build_execution_plan(
-                        cu,
-                        join_orders=join_orders,
-                        # degraded rounds stay on the row reference
-                        # path; healthy cold builds honor the storage
-                        pool=self._pool if not degraded else None,
-                    )
-            compile_s = perf_counter() - t0
-
-            t0 = perf_counter()
-            if degraded:
-                # serial reference oracle: single-threaded level-order
-                # execution, immune to executor-level faults
-                with sink.span(
-                    "execute-serial", "phase", args={"degraded": True}
-                ):
-                    values, diffs = plan.execute_serial()
-                outcome = None
-                tasks_executed = len(diffs)
+        t0 = perf_counter()
+        cache = self.plan_cache if not degraded else None
+        if chaos is not None and chaos.phase_fails("compile"):
+            raise InjectedPhaseFault("compile", self._rounds_run)
+        with sink.span("compile", "phase"):
+            if cache is not None:
+                cu = cache.compile(
+                    self.program,
+                    self._edb,
+                    delta,
+                    work_per_derivation=self.work_per_derivation,
+                    name=f"{self.name}:r{self._rounds_run}",
+                )
             else:
-                with sink.span("execute", "phase") as sp_exec:
-                    outcome = RoundExecutor(
-                        plan,
-                        self.scheduler,
-                        workers=self.workers,
-                        deadline=self.deadline_s,
-                        sink=sink,
-                        retry=self.unit_retry,
-                        unit_timeout_s=self.unit_timeout_s,
-                        chaos=chaos,
-                        backend=self.executor,
-                    ).run()
-                values = outcome.values
-                tasks_executed = len(outcome.records)
-                if sink.enabled:
-                    sp_exec.set("scheduler_ops", outcome.scheduler_ops)
-                    sp_exec.set("tasks_executed", tasks_executed)
-                    sp_exec.set("unit_retries", outcome.unit_retries)
-                    sp_exec.set("injected_faults", outcome.injected_faults)
-                    sp_exec.set("backend", outcome.backend)
-            execute_s = perf_counter() - t0
+                cu = compile_update(
+                    self.program,
+                    self._edb,
+                    delta,
+                    work_per_derivation=self.work_per_derivation,
+                    name=f"{self.name}:r{self._rounds_run}",
+                    analysis=self.analysis,
+                )
+        with sink.span("plan-build", "phase"):
+            if cache is not None:
+                plan = cache.plan(cu)
+            else:
+                join_orders = (
+                    self.analysis.join_orders_for(cu.program)
+                    if self.analysis is not None
+                    else None
+                )
+                plan = build_execution_plan(
+                    cu, join_orders=join_orders, pool=self._pool
+                )
+        compile_s = perf_counter() - t0
 
-            t0 = perf_counter()
-            if chaos is not None and chaos.phase_fails("verify"):
-                raise InjectedPhaseFault("verify", self._rounds_run)
-            with sink.span("verify", "phase"):
-                artifacts: RoundArtifacts | None = None
-                report: VerificationReport | None = None
-                mat_ok = True
-                if outcome is not None:
-                    artifacts = record_round(outcome, cu.trace)
-                if self.verify:
-                    if artifacts is not None:
-                        report = artifacts.check()
-                        if self.strict and not report.ok:
-                            raise RoundVerificationError(
-                                self._rounds_run, report
-                            )
-                    mat = plan.materialization(values)
-                    mat_ok = mat.as_dict() == cu.db_new.as_dict()
-                    if not mat_ok and self.strict:
+        t0 = perf_counter()
+        if degraded:
+            # serial reference oracle: single-threaded level-order
+            # execution, immune to executor-level faults
+            with sink.span(
+                "execute-serial", "phase", args={"degraded": True}
+            ):
+                values, diffs = plan.execute_serial()
+            outcome = None
+            tasks_executed = len(diffs)
+        else:
+            with sink.span("execute", "phase") as sp_exec:
+                outcome = RoundExecutor(
+                    plan,
+                    self.scheduler,
+                    workers=self.workers,
+                    deadline=self.deadline_s,
+                    sink=sink,
+                    retry=self.unit_retry,
+                    unit_timeout_s=self.unit_timeout_s,
+                    chaos=chaos,
+                ).run()
+            values = outcome.values
+            tasks_executed = len(outcome.records)
+            if sink.enabled:
+                sp_exec.set("scheduler_ops", outcome.scheduler_ops)
+                sp_exec.set("tasks_executed", tasks_executed)
+                sp_exec.set("unit_retries", outcome.unit_retries)
+                sp_exec.set("injected_faults", outcome.injected_faults)
+        execute_s = perf_counter() - t0
+
+        t0 = perf_counter()
+        if chaos is not None and chaos.phase_fails("verify"):
+            raise InjectedPhaseFault("verify", self._rounds_run)
+        with sink.span("verify", "phase"):
+            artifacts: RoundArtifacts | None = None
+            report: VerificationReport | None = None
+            mat_ok = True
+            if outcome is not None:
+                artifacts = record_round(outcome, cu.trace)
+            if self.verify:
+                if artifacts is not None:
+                    report = artifacts.check()
+                    if self.strict and not report.ok:
+                        raise RoundVerificationError(
+                            self._rounds_run, report
+                        )
+                mat = plan.materialization(values)
+                mat_ok = mat.as_dict() == cu.db_new.as_dict()
+                if not mat_ok and self.strict:
+                    raise MaterializationDivergenceError(
+                        self._rounds_run,
+                        f"{_facts_delta(mat, cu.db_new)} facts differ",
+                    )
+        if self.maintenance is not None:
+            # shadow oracle: replay the effective delta through the
+            # configured maintenance strategy and insist it lands on
+            # the same materialization as from-scratch evaluation
+            with sink.span(
+                "maintain-oracle", "phase",
+                args={"strategy": self.maintenance},
+            ):
+                if self._engine is None:
+                    self._engine = make_engine(
+                        self.maintenance, self.program, self._edb
+                    )
+                self._engine.apply(zdelta)
+                if (
+                    self.verify
+                    and self._engine.snapshot() != cu.db_new.as_dict()
+                ):
+                    # rebuild from the (unchanged) EDB on retry
+                    self._engine = None
+                    if self.strict:
                         raise MaterializationDivergenceError(
                             self._rounds_run,
-                            f"{_facts_delta(mat, cu.db_new)} facts differ",
+                            f"maintenance strategy "
+                            f"{self.maintenance!r} disagrees with "
+                            "from-scratch evaluation",
                         )
-            if self.maintenance is not None:
-                # shadow oracle: replay the effective delta through the
-                # configured maintenance strategy and insist it lands on
-                # the same materialization as from-scratch evaluation
-                with sink.span(
-                    "maintain-oracle", "phase",
-                    args={"strategy": self.maintenance},
-                ):
-                    if self._engine is None:
-                        self._engine = make_engine(
-                            self.maintenance, self.program, self._edb
-                        )
-                    self._engine.apply(zdelta)
-                    if (
-                        self.verify
-                        and self._engine.snapshot() != cu.db_new.as_dict()
-                    ):
-                        # rebuild from the (unchanged) EDB on retry
-                        self._engine = None
-                        if self.strict:
-                            raise MaterializationDivergenceError(
-                                self._rounds_run,
-                                f"maintenance strategy "
-                                f"{self.maintenance!r} disagrees with "
-                                "from-scratch evaluation",
-                            )
-                        mat_ok = False
-            verify_s = perf_counter() - t0
+                    mat_ok = False
+        verify_s = perf_counter() - t0
 
-            # the round is verified: only now may the staged compile
-            # become the baseline the next round's compile reuses
-            if cache is not None:
-                cache.commit(cu)
-            self._edb = cu.edb_new
-            self._materialization = cu.db_new
+        # the round is verified: only now may the staged compile
+        # become the baseline the next round's compile reuses
+        if cache is not None:
+            cache.commit(cu)
+        self._edb = cu.edb_new
+        self._materialization = cu.db_new
 
-            table_size, builds, probes = self._pool_round_stats()
-            metrics = RoundMetrics(
-                index=self._rounds_run,
-                trace_name=cu.trace.name,
-                scheduler=self.scheduler.name,
-                workers=self.workers if not degraded else 1,
-                batches_coalesced=n_batches,
-                queue_depth=depth,
-                n_nodes=cu.trace.dag.n_nodes,
-                n_active=cu.trace.n_active,
-                tasks_executed=tasks_executed,
-                changed_facts=_facts_delta(cu.db_old, cu.db_new),
-                latency_s=perf_counter() - t_round,
-                compile_s=compile_s,
-                execute_s=execute_s,
-                verify_s=verify_s,
-                makespan_s=(
-                    artifacts.result.makespan
-                    if artifacts is not None
-                    else execute_s
-                ),
-                scheduler_ops=(
-                    outcome.scheduler_ops if outcome is not None else 0
-                ),
-                precompute_ops=(
-                    outcome.precompute_ops if outcome is not None else 0
-                ),
-                utilization=(
-                    artifacts.result.utilization
-                    if artifacts is not None
-                    else 1.0
-                ),
-                queue_wait_s=queue_wait_s,
-                unit_retries=(
-                    outcome.unit_retries if outcome is not None else 0
-                ),
-                degraded=degraded,
-                injected_faults=(
-                    chaos.injected_total - faults0
-                    if chaos is not None
-                    else 0
-                ),
-                cancelled_ops=cancelled,
-                backend=backend,
-                intern_table_size=table_size,
-                columnar_builds=builds,
-                columnar_probes=probes,
-            )
+        table_size, builds, probes = self._pool_round_stats()
+        metrics = RoundMetrics(
+            index=self._rounds_run,
+            trace_name=cu.trace.name,
+            scheduler=self.scheduler.name,
+            workers=self.workers if not degraded else 1,
+            batches_coalesced=n_batches,
+            queue_depth=depth,
+            n_nodes=cu.trace.dag.n_nodes,
+            n_active=cu.trace.n_active,
+            tasks_executed=tasks_executed,
+            changed_facts=_facts_delta(cu.db_old, cu.db_new),
+            latency_s=perf_counter() - t_round,
+            compile_s=compile_s,
+            execute_s=execute_s,
+            verify_s=verify_s,
+            makespan_s=(
+                artifacts.result.makespan
+                if artifacts is not None
+                else execute_s
+            ),
+            scheduler_ops=(
+                outcome.scheduler_ops if outcome is not None else 0
+            ),
+            precompute_ops=(
+                outcome.precompute_ops if outcome is not None else 0
+            ),
+            utilization=(
+                artifacts.result.utilization
+                if artifacts is not None
+                else 1.0
+            ),
+            queue_wait_s=queue_wait_s,
+            unit_retries=(
+                outcome.unit_retries if outcome is not None else 0
+            ),
+            degraded=degraded,
+            injected_faults=(
+                chaos.injected_total - faults0
+                if chaos is not None
+                else 0
+            ),
+            cancelled_ops=cancelled,
+            intern_table_size=table_size,
+            columnar_builds=builds,
+            columnar_probes=probes,
+        )
         self.metrics.append(metrics)
         self._rounds_run += 1
         return RoundReport(

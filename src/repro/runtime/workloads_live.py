@@ -108,7 +108,8 @@ class LiveWorkload:
         currently-present facts, the rest insertions; with ``hot`` the
         ops target the hot key's predicate and pin its first column.
         A deletion falls back to an insertion when its relation has
-        emptied, so delete-heavy streams never starve.
+        emptied, so delete-heavy streams never starve — not even once
+        every relation is empty, when predicates are drawn uniformly.
         """
         delta = Delta()
         preds = sorted(self._mirror)
@@ -117,7 +118,11 @@ class LiveWorkload:
         weights = np.array(
             [len(self._mirror[p]) for p in preds], dtype=np.float64
         )
-        weights /= weights.sum()
+        total = weights.sum()
+        if total > 0:
+            weights /= total
+        else:
+            weights[:] = 1.0 / len(preds)
         for _ in range(size):
             if hot and self.hot_key is not None:
                 pred = self.hot_key[0]

@@ -56,7 +56,8 @@ def transitive_closure(
     """Reachability over a chain plus random shortcuts.
 
     The update inserts an edge near the chain's head (cascading deep)
-    and deletes one shortcut.
+    and deletes one shortcut — or, with no shortcuts, the chain's last
+    edge (nothing when the chain has no edge).
     """
     rng = as_rng(seed)
     prog = parse_program(
@@ -76,8 +77,11 @@ def transitive_closure(
             shortcuts.add((a, b))
     for a, b in shortcuts:
         edb.add_fact("edge", (a, b))
-    victim = next(iter(sorted(shortcuts)))
-    delta = Delta().insert("edge", (1, n // 2)).delete("edge", victim)
+    delta = Delta().insert("edge", (1, n // 2))
+    if shortcuts:
+        delta.delete("edge", min(shortcuts))
+    elif n >= 2:
+        delta.delete("edge", (n - 2, n - 1))
     return prog, edb, delta
 
 

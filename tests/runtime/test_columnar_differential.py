@@ -1,34 +1,27 @@
-"""Differential harness for the columnar/process executor matrix.
+"""Differential harness: served materializations against an oracle.
 
-The PR's acceptance bar: whatever combination of storage layout
-(row vs columnar) and executor backend (thread vs process) serves an
-update stream, the final materialization must be **byte-identical** —
-same relations, same tuples, same canonical serialization. The round
-pipeline (scheduler contract, verify invariants, maintenance
-strategies) is storage- and backend-blind; these tests pin that down
-across every registered scheduler, every maintenance oracle, cache on
-and off, and the seeded stream shapes.
+Every round the service runs — concurrent columnar units under any
+registered scheduler, plan cache on or off, with or without a
+maintenance-strategy shadow engine — must land on exactly the
+materialization that :func:`~repro.datalog.seminaive.naive_evaluate`
+computes from scratch over the service's accumulated EDB. The naive
+evaluator shares no code with the hot path: it runs the per-tuple
+row joins, not the columnar batch joins, and no compiled DAG,
+executor, or plan cache. The comparison is on canonical bytes after
+every round, across every registered scheduler, every maintenance
+oracle with the cache on and off, and the seeded stream shapes.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.runtime import (
-    UpdateStreamService,
-    live_workload,
-    make_stream,
-    process_backend_available,
-)
+from repro.datalog.seminaive import naive_evaluate
+from repro.runtime import UpdateStreamService, live_workload, make_stream
 from repro.schedulers import scheduler_registry
 
 REGISTRY = scheduler_registry()
 ALL_SCHEDULERS = sorted(REGISTRY)
-
-needs_fork = pytest.mark.skipif(
-    not process_backend_available(),
-    reason="process backend needs fork-capable multiprocessing",
-)
 
 
 def canonical_bytes(db) -> bytes:
@@ -45,8 +38,6 @@ def serve(
     kind,
     *,
     scheduler="hybrid",
-    executor="thread",
-    storage="columnar",
     plan_cache=True,
     maintenance=None,
     rounds=3,
@@ -54,7 +45,10 @@ def serve(
     workers=3,
     **wl_kwargs,
 ):
-    """Serve ``rounds`` ticks; return canonical (materialization, edb)."""
+    """Serve ``rounds`` ticks, checking every round against the oracle.
+
+    Returns the canonical bytes of the final materialization.
+    """
     wl = live_workload(name, seed=seed, **wl_kwargs)
     svc = UpdateStreamService(
         wl.program,
@@ -63,99 +57,54 @@ def serve(
         workers=workers,
         plan_cache=plan_cache,
         maintenance=maintenance,
-        executor=executor,
-        storage=storage,
     )
+    served = 0
     for batches in make_stream(wl, kind, rounds=rounds, batch_size=2):
         for delta in batches:
             svc.submit(delta)
         rep = svc.run_round()
-        if rep is not None:
-            assert rep.metrics.backend == executor
-    return canonical_bytes(svc.materialization()), canonical_bytes(
-        svc.database()
-    )
+        if rep is None:
+            continue
+        served += 1
+        oracle = naive_evaluate(wl.program, svc.database())
+        assert canonical_bytes(svc.materialization()) == canonical_bytes(
+            oracle
+        ), f"round {rep.index} diverges from naive evaluation"
+    assert served > 0
+    return canonical_bytes(svc.materialization())
 
 
 @pytest.mark.parametrize("sched", ALL_SCHEDULERS)
-def test_columnar_matches_row_all_schedulers(sched):
-    """Columnar storage is invisible to every registered scheduler."""
-    row = serve("tc", "steady", scheduler=sched, storage="row")
-    col = serve("tc", "steady", scheduler=sched, storage="columnar")
-    assert row == col
-
-
-@needs_fork
-@pytest.mark.parametrize("sched", ALL_SCHEDULERS)
-def test_process_matches_thread_all_schedulers(sched):
-    """The process backend is invisible to every registered scheduler."""
-    thread = serve(
-        "tc", "steady", scheduler=sched, executor="thread",
-        n=24, extra_edges=10,
-    )
-    proc = serve(
-        "tc", "steady", scheduler=sched, executor="process",
-        n=24, extra_edges=10,
-    )
-    assert thread == proc
+def test_served_matches_naive_all_schedulers(sched):
+    """Every registered scheduler serves the oracle's bytes."""
+    serve("tc", "steady", scheduler=sched)
+    serve("tc", "steady", scheduler=sched, n=24, extra_edges=10)
 
 
 @pytest.mark.parametrize("cache", [True, False], ids=["cache", "cold"])
 @pytest.mark.parametrize("strategy", ["dred", "bf", "counting"])
-def test_maintenance_oracles_columnar_vs_row(strategy, cache):
-    """Every maintenance-strategy oracle passes under both layouts.
+def test_maintenance_oracles_match_naive(strategy, cache):
+    """Every maintenance-strategy shadow engine agrees with the oracle.
 
-    The oracle replays each round through the named engine and insists
-    it matches from-scratch evaluation — a per-round tripwire on top of
-    the final byte-compare. Counting rejects recursion, so it runs over
-    the non-recursive retail_flat workload; dred/bf get the closure.
+    The shadow engine replays each round and insists it matches the
+    compiled new side — a per-round tripwire on top of the naive
+    comparison. Counting rejects recursion, so it runs over the
+    non-recursive retail_flat workload; dred/bf get the closure.
     """
     workload = "flat" if strategy == "counting" else "tc"
-    row = serve(
-        workload, "mixed", storage="row",
-        maintenance=strategy, plan_cache=cache,
-    )
-    col = serve(
-        workload, "mixed", storage="columnar",
-        maintenance=strategy, plan_cache=cache,
-    )
-    assert row == col
+    serve(workload, "mixed", maintenance=strategy, plan_cache=cache)
 
 
 @pytest.mark.parametrize("kind", ["steady", "bursty", "deletions", "mixed"])
-def test_stream_kinds_columnar_vs_row(kind):
-    """Byte-identity holds across the seeded stream shapes."""
-    row = serve("sg", kind, storage="row", depth=4, fanout=2)
-    col = serve("sg", kind, storage="columnar", depth=4, fanout=2)
-    assert row == col
+def test_stream_kinds_match_naive(kind):
+    """Oracle identity holds across the seeded stream shapes."""
+    serve("sg", kind, depth=4, fanout=2)
+    serve("retail", kind)
 
 
-@needs_fork
-@pytest.mark.parametrize("kind", ["steady", "deletions", "mixed"])
-def test_stream_kinds_process_vs_thread(kind):
-    """Process-backend byte-identity holds under churny streams too."""
-    thread = serve(
-        "retail", kind, executor="thread", storage="columnar",
-    )
-    proc = serve(
-        "retail", kind, executor="process", storage="columnar",
-    )
-    assert thread == proc
-
-
-@needs_fork
-def test_full_matrix_one_cell_agrees_everywhere():
-    """All four executor×storage combinations land on the same bytes."""
-    results = {
-        (ex, st): serve(
-            "pt", "steady", executor=ex, storage=st,
-            n_vars=12, n_stmts=24,
-        )
-        for ex in ("thread", "process")
-        for st in ("row", "columnar")
-    }
-    baseline = results[("thread", "row")]
-    assert all(v == baseline for v in results.values())
+def test_points_to_matches_naive():
+    """The points-to workload, with its multi-way joins."""
+    serve("pt", "steady", n_vars=12, n_stmts=24)
 
 
 def test_cache_on_off_columnar_agree():

@@ -117,6 +117,17 @@ class TestStreams:
                 n_del += sum(len(s) for s in d.deletions.values())
         assert n_del > n_ins
 
+    def test_deletions_stream_survives_an_emptied_edb(self):
+        """Once deletions empty every relation, batches insert again."""
+        wl = live_workload("retail", seed=17)
+        sizes = [
+            sum(len(facts) for facts in wl._mirror.values())
+            for _ in make_stream(wl, "deletions", rounds=100)
+        ]
+        assert len(sizes) == 100
+        first_empty = sizes.index(0)
+        assert any(sizes[first_empty:])
+
     def test_churn_batches_cancel_under_merge(self):
         wl = live_workload("flat", seed=8)
         mirror_before = {p: set(s) for p, s in wl._mirror.items()}

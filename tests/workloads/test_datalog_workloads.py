@@ -54,6 +54,18 @@ def test_tc_update_is_consistent():
     assert eng.snapshot()["path"] == oracle.as_dict()["path"]
 
 
+def test_tc_without_shortcuts_deletes_a_chain_edge():
+    prog, edb, delta = transitive_closure(n=12, extra_edges=0)
+    assert delta.deletions == {"edge": {(10, 11)}}
+    assert (10, 11) in edb.relations["edge"]
+    assert delta.insertions == {"edge": {(1, 6)}}
+
+
+def test_tc_single_node_chain_deletes_nothing():
+    _, _, delta = transitive_closure(n=1, extra_edges=0)
+    assert not any(delta.deletions.values())
+
+
 def test_retail_uses_negation():
     prog, edb, delta = retail_rollup(seed=2)
     assert any(

@@ -88,7 +88,7 @@ def serve_stream(sched_name: str, stream: str, strategy: str):
     assert mat.as_dict() == oracle.as_dict(), (
         sched_name, stream, strategy
     )
-    stats = svc.plan_cache.stats() if svc.plan_cache is not None else None
+    stats = svc.plan_cache.stats()
     return svc.metrics, stats
 
 

@@ -282,7 +282,6 @@ def cmd_serve(args) -> int:
         capacity=args.capacity,
         verify=not args.no_verify,
         name=f"live:{wl.name}",
-        plan_cache=not args.no_plan_cache,
         unit_retries=unit_retries,
         unit_timeout_s=args.unit_timeout,
         chaos=chaos,
@@ -369,13 +368,12 @@ def cmd_serve(args) -> int:
             f"{service.shed_batches} batch(es) shed, "
             f"health={service.health.state.value}"
         )
-    if service.plan_cache is not None:
-        s = service.plan_cache.stats()
-        print(
-            f"plan cache: {s['hits']} hits / {s['misses']} misses, "
-            f"{s['plan_patches']} plans patched, "
-            f"{s['invalidations']} invalidations"
-        )
+    s = service.plan_cache.stats()
+    print(
+        f"plan cache: {s['hits']} hits / {s['misses']} misses, "
+        f"{s['plan_patches']} plans patched, "
+        f"{s['invalidations']} invalidations"
+    )
     mat = service.materialization()
     if mat is None:
         print("no rounds served — nothing to compare")
@@ -435,7 +433,6 @@ def cmd_trace(args) -> int:
         workers=args.workers,
         name=f"trace:{wl.name}",
         sink=recorder,
-        plan_cache=not args.no_plan_cache,
         chaos=chaos,
         unit_retries=3 if chaos is not None else 0,
     )
@@ -722,11 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip per-round invariant + materialization checks",
     )
     p.add_argument(
-        "--no-plan-cache", action="store_true",
-        help="compile every round cold instead of reusing the "
-             "round-over-round plan cache",
-    )
-    p.add_argument(
         "--metrics", default=None, metavar="JSON",
         help="write the per-round metrics log to this file",
     )
@@ -779,11 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stream generator seed")
     p.add_argument("--top", type=int, default=5,
                    help="how many slowest rounds to tabulate")
-    p.add_argument(
-        "--no-plan-cache", action="store_true",
-        help="compile every round cold instead of reusing the "
-             "round-over-round plan cache",
-    )
     p.add_argument(
         "-o", "--output", default="trace.json",
         help="Chrome trace_event JSON output path (default trace.json)",

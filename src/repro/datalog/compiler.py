@@ -53,8 +53,7 @@ from .ast import Program
 from .database import Database
 from .depgraph import DependencyGraph
 from .incremental import Delta
-from .zset import apply_zdelta, effective_zdelta
-from .seminaive import EvaluationTrace, _ensure_relations, seminaive_evaluate
+from .seminaive import EvaluationTrace, _ensure_relations
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..verify.program import ProgramAnalysis
@@ -178,56 +177,22 @@ def compile_update(
 ) -> CompiledUpdate:
     """Compile ``(program, edb_old, delta)`` into a schedulable trace.
 
-    When ``analysis`` (a :class:`~repro.verify.program.ProgramAnalysis`
-    of ``program``) is supplied, rules the analyzer proves can never
-    fire against either EDB snapshot are pruned before DAG
-    construction. Pruning is materialization-preserving: both snapshots
-    are augmented with the full program's schema first, so the derived
-    databases stay byte-identical to the unpruned compile.
+    A one-shot compile through a fresh
+    :class:`~repro.datalog.plancache.CompiledProgramCache`: with no
+    committed baseline it evaluates both sides, exactly as every cache
+    miss does. When ``analysis`` (a
+    :class:`~repro.verify.program.ProgramAnalysis` of ``program``) is
+    supplied, rules the analyzer proves can never fire against either
+    EDB snapshot are pruned before DAG construction, without changing
+    either materialization.
     """
-    for pred in delta.touched_predicates():
-        if pred in program.idb_predicates():
-            raise ValueError(f"update targets derived predicate {pred!r}")
+    # plancache imports this module for build_compiled_update
+    from .plancache import CompiledProgramCache
 
-    # clamp the submitted delta to its effective weights: redundant ops
-    # (inserting a present fact, deleting an absent one) and coalesced
-    # insert/retract pairs cancel here, so a self-cancelling delta
-    # compiles exactly like an empty one — same touched set, same live
-    # predicates, same dead-rule prune set
-    zdelta = effective_zdelta(edb_old, delta)
-    edb_new = apply_zdelta(edb_old, zdelta)
-    run_program = program
-    touched = zdelta.touched_predicates()
-    analysis = _usable_analysis(program, analysis)
-    if analysis is not None:
-        dead = analysis.prunable_rules(
-            live_edb_predicates(edb_old, edb_new)
-        )
-        if dead:
-            run_program = Program(
-                tuple(
-                    r
-                    for i, r in enumerate(program.rules)
-                    if i not in dead
-                )
-            )
-            edb_old = with_program_schema(edb_old, program)
-            edb_new = with_program_schema(edb_new, program)
-            # a delta may touch a predicate only dead rules read; the
-            # pruned DAG has no node for it (the augmented EDB still
-            # carries its facts through the materialization)
-            touched = touched & run_program.edb_predicates()
-    db_old, ev_old = seminaive_evaluate(run_program, edb_old, record=True)
-    db_new, ev_new = seminaive_evaluate(run_program, edb_new, record=True)
-    return build_compiled_update(
-        run_program,
+    return CompiledProgramCache(program, analysis=analysis).compile(
+        program,
         edb_old,
-        edb_new,
-        db_old,
-        db_new,
-        ev_old,
-        ev_new,
-        touched=touched,
+        delta,
         work_per_derivation=work_per_derivation,
         name=name,
     )
@@ -249,10 +214,10 @@ def build_compiled_update(
 ) -> CompiledUpdate:
     """Unroll two recorded materializations into a schedulable trace.
 
-    The back half of :func:`compile_update`, exposed separately so the
-    plan cache — which reuses the previous round's *new* side as this
-    round's *old* side instead of re-evaluating it — builds its traces
-    through the exact same code path. ``states_old``/``states_new``
+    The back half of :meth:`CompiledProgramCache.compile
+    <repro.datalog.plancache.CompiledProgramCache.compile>`, which
+    reuses the previous round's *new* side as this round's *old* side
+    instead of re-evaluating it when it can. ``states_old``/``states_new``
     accept precomputed :func:`_cumulative_states` tables (the cache
     carries them across rounds); when omitted they are computed here.
     """

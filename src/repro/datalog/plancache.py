@@ -2,10 +2,10 @@
 
 The maintenance loop in :mod:`repro.runtime.service` is a sequence of
 rounds over one program: round ``N+1``'s *old* materialization is
-exactly round ``N``'s *new* one. Cold compilation ignores this and
-pays two from-scratch semi-naive evaluations plus a full
-:class:`~repro.datalog.units.ExecutionPlan` rebuild per round. This
-module caches everything that survives a round:
+exactly round ``N``'s *new* one. A cold compile (a cache miss) pays
+two from-scratch semi-naive evaluations plus a full
+:class:`~repro.datalog.units.ExecutionPlan` rebuild. This module is
+the one compile path and caches everything that survives a round:
 
 * :class:`CompiledProgramCache` — the front door. ``compile()``
   reuses the committed previous round's new side (database, evaluation
@@ -372,9 +372,11 @@ class CompiledProgramCache:
     ) -> CompiledUpdate:
         """Compile one round, reusing the committed baseline when valid.
 
-        Drop-in for :func:`repro.datalog.compiler.compile_update`; the
-        result is *staged* — call :meth:`commit` once the round is
-        verified, or :meth:`rollback` if it failed.
+        This is the only compile path. ``compile_update`` is a one-shot
+        call on a fresh cache, and the service's degraded rounds compile
+        through a private cache of their own. The result is *staged* —
+        call :meth:`commit` once the round is verified, or
+        :meth:`rollback` if it failed.
         """
         for pred in delta.touched_predicates():
             if pred in program.idb_predicates():
@@ -428,6 +430,9 @@ class CompiledProgramCache:
         if dead:
             edb_old = with_program_schema(edb_old, self._program)
             edb_new = with_program_schema(edb_new, self._program)
+            # a delta may touch a predicate only dead rules read; the
+            # pruned DAG has no node for it (the augmented EDB still
+            # carries its facts through the materialization)
             touched = touched & run_program.edb_predicates()
 
         prev = self._prev

@@ -69,12 +69,11 @@ from typing import Callable
 from ..datalog.ast import Program
 from ..datalog.bf import MAINTENANCE_STRATEGIES, make_engine
 from ..datalog.columnar import InternPool
-from ..datalog.compiler import CompiledUpdate, compile_update
+from ..datalog.compiler import CompiledUpdate
 from ..datalog.database import Database
 from ..datalog.incremental import Delta, IncrementalEngine, merge_deltas
 from ..datalog.plancache import CompiledProgramCache
 from ..datalog.zset import effective_zdelta
-from ..datalog.units import build_execution_plan
 from ..obs import NULL_SINK, TraceSink
 from ..obs.metrics import MetricsRegistry
 from ..schedulers.base import Scheduler
@@ -192,6 +191,12 @@ def _facts_delta(old: Database, new: Database) -> int:
 class UpdateStreamService:
     """Drives real incremental maintenance over a stream of updates.
 
+    Every round compiles and plans through one
+    :class:`~repro.datalog.plancache.CompiledProgramCache` (exposed as
+    :attr:`plan_cache`), fed the whole-program static analysis of
+    ``program`` (:attr:`analysis`) for dead-rule pruning and join-order
+    hints.
+
     Parameters
     ----------
     program, edb:
@@ -203,8 +208,9 @@ class UpdateStreamService:
     workers:
         Worker-thread lanes per round. Units run the columnar batch
         joins of :mod:`repro.datalog.columnar` over constants interned
-        into one :class:`~repro.datalog.columnar.InternPool` per
-        service; degraded fallback rounds run the same units serially.
+        into the plan cache's :class:`~repro.datalog.columnar.InternPool`;
+        degraded fallback rounds run the same units serially on a
+        private cache and pool.
     capacity:
         Bound of the update queue (backpressure threshold).
     verify:
@@ -223,16 +229,6 @@ class UpdateStreamService:
     sink:
         Trace sink for per-round spans; the default no-op sink makes
         every instrumentation point free.
-    plan_cache:
-        Reuse compilation work across rounds through a
-        :class:`~repro.datalog.plancache.CompiledProgramCache`: the
-        previous round's verified materialization is this round's old
-        side, the bound execution plan is patched instead of rebuilt,
-        and join-input relations keep their hash indexes. Identical
-        outputs either way (the differential suite pins this); ``False``
-        restores cold compilation per round. The cache is committed
-        only after verification succeeds and rolled back on a failed
-        round, so retries never see state staged by the failure.
     obs_metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
         the cache's ``plancache.*`` hit/miss/invalidation counters.
@@ -299,9 +295,7 @@ class UpdateStreamService:
         name: str = "live",
         max_round_retries: int = 2,
         sink: TraceSink = NULL_SINK,
-        plan_cache: bool = True,
         obs_metrics: MetricsRegistry | None = None,
-        analyze: bool = True,
         unit_retries: int = 0,
         unit_backoff_s: float = 0.02,
         unit_timeout_s: float | None = None,
@@ -342,29 +336,22 @@ class UpdateStreamService:
         self.sink = sink
         self.metrics = MetricsLog()
         #: whole-program static analysis — feeds dead-rule pruning and
-        #: join-order hints to the compiler and plan cache
-        self.analysis: ProgramAnalysis | None = (
-            analyze_program(program) if analyze else None
+        #: join-order hints to the plan cache
+        self.analysis: ProgramAnalysis = analyze_program(program)
+        #: every round compiles and plans through this cache: the
+        #: previous round's verified new side is this round's old side,
+        #: the bound execution plan is patched instead of rebuilt, and
+        #: join-input relations keep their indexes. It is committed only
+        #: after verification and rolled back on a failed round, so
+        #: retries never see state staged by the failure.
+        self.plan_cache = CompiledProgramCache(
+            program,
+            metrics=obs_metrics,
+            sink=sink,
+            analysis=self.analysis,
         )
-        self.plan_cache: CompiledProgramCache | None = (
-            CompiledProgramCache(
-                program,
-                metrics=obs_metrics,
-                sink=sink,
-                analysis=self.analysis,
-            )
-            if plan_cache
-            else None
-        )
-        #: the service's one intern pool: the plan cache's when there is
-        #: one, so cold (degraded) plan builds share its ids
-        self._pool = (
-            self.plan_cache.pool
-            if self.plan_cache is not None
-            else InternPool()
-        )
-        #: (builds, probes) pool counters at the end of the last round,
-        #: so per-round metrics report deltas
+        #: (builds, probes) counters of the plan cache's intern pool at
+        #: the end of the last round, so per-round metrics report deltas
         self._pool_counts = (0, 0)
         self.unit_timeout_s = unit_timeout_s
         self.shed_policy = shed_policy
@@ -621,10 +608,9 @@ class UpdateStreamService:
         self, delta: Delta, enqueued_at: float, exc: BaseException
     ) -> None:
         """Apply the failed-round policy before the exception re-raises."""
-        if self.plan_cache is not None:
-            # drop anything the failed round staged or patched; the
-            # retry recompiles from the last *committed* baseline
-            self.plan_cache.rollback()
+        # drop anything the failed round staged or patched; the retry
+        # recompiles from the last *committed* baseline
+        self.plan_cache.rollback()
         if isinstance(exc, UnitExecutionError):
             self.quarantined_units_total += len(exc.failures)
         self._round_attempts += 1
@@ -651,10 +637,17 @@ class UpdateStreamService:
                 },
             )
 
-    def _pool_round_stats(self) -> tuple[int, int, int]:
+    def _pool_round_stats(self, pool: InternPool) -> tuple[int, int, int]:
         """``(intern table size, builds Δ, probes Δ)`` for the round
-        that just finished."""
-        s = self._pool.stats()
+        that just finished on ``pool``."""
+        s = pool.stats()
+        if pool is not self.plan_cache.pool:
+            # a degraded round's private pool counted only this round
+            return (
+                s["intern_table_size"],
+                s["columnar_builds"],
+                s["columnar_probes"],
+            )
         b0, p0 = self._pool_counts
         self._pool_counts = (s["columnar_builds"], s["columnar_probes"])
         return (
@@ -734,10 +727,13 @@ class UpdateStreamService:
     ) -> RoundReport:
         """Compile, execute, verify, and commit one merged round.
 
-        ``degraded=True`` is the circuit breaker's fallback: cold
-        compile (plan cache bypassed), serial reference execution
-        instead of the concurrent executor, materialization check only
-        (there is no concurrent schedule to run invariants on).
+        ``degraded=True`` is the circuit breaker's fallback: a cold
+        compile through a private cache built for this round (the warm
+        cache is bypassed — no baseline, plan or relation store is
+        shared with it, and nothing is committed into it), serial
+        reference execution instead of the concurrent executor, and a
+        materialization check only (there is no concurrent schedule to
+        run invariants on).
         """
         sink = self.sink
         zdelta = effective_zdelta(self._edb, delta)
@@ -758,39 +754,23 @@ class UpdateStreamService:
         self._maintain_epoch += 1
         faults0 = chaos.injected_total if chaos is not None else 0
         t0 = perf_counter()
-        cache = self.plan_cache if not degraded else None
+        cache = (
+            CompiledProgramCache(self.program, analysis=self.analysis)
+            if degraded
+            else self.plan_cache
+        )
         if chaos is not None and chaos.phase_fails("compile"):
             raise InjectedPhaseFault("compile", self._rounds_run)
         with sink.span("compile", "phase"):
-            if cache is not None:
-                cu = cache.compile(
-                    self.program,
-                    self._edb,
-                    delta,
-                    work_per_derivation=self.work_per_derivation,
-                    name=f"{self.name}:r{self._rounds_run}",
-                )
-            else:
-                cu = compile_update(
-                    self.program,
-                    self._edb,
-                    delta,
-                    work_per_derivation=self.work_per_derivation,
-                    name=f"{self.name}:r{self._rounds_run}",
-                    analysis=self.analysis,
-                )
+            cu = cache.compile(
+                self.program,
+                self._edb,
+                delta,
+                work_per_derivation=self.work_per_derivation,
+                name=f"{self.name}:r{self._rounds_run}",
+            )
         with sink.span("plan-build", "phase"):
-            if cache is not None:
-                plan = cache.plan(cu)
-            else:
-                join_orders = (
-                    self.analysis.join_orders_for(cu.program)
-                    if self.analysis is not None
-                    else None
-                )
-                plan = build_execution_plan(
-                    cu, join_orders=join_orders, pool=self._pool
-                )
+            plan = cache.plan(cu)
         compile_s = perf_counter() - t0
 
         t0 = perf_counter()
@@ -878,12 +858,12 @@ class UpdateStreamService:
 
         # the round is verified: only now may the staged compile
         # become the baseline the next round's compile reuses
-        if cache is not None:
+        if not degraded:
             cache.commit(cu)
         self._edb = cu.edb_new
         self._materialization = cu.db_new
 
-        table_size, builds, probes = self._pool_round_stats()
+        table_size, builds, probes = self._pool_round_stats(cache.pool)
         metrics = RoundMetrics(
             index=self._rounds_run,
             trace_name=cu.trace.name,

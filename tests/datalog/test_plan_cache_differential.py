@@ -4,7 +4,10 @@ The plan cache (:mod:`repro.datalog.plancache`) must be a pure
 optimization: for any program and any update stream, round by round,
 the cached pipeline must produce exactly what cold compilation
 produces — the same materializations, the same activation flags, the
-same serial-oracle results — under every registered scheduler.
+same serial-oracle results — under every registered scheduler. Cold
+compilation is ``compile_update``: a one-shot compile on a fresh cache,
+so both of its sides are evaluated from scratch, with no baseline,
+plan or relation store carried over.
 
 Two layers of evidence:
 

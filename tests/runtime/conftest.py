@@ -11,6 +11,7 @@ WORKLOADS = (
     "same_generation",
     "retail_rollup",
     "retail_analytics",
+    "retail_flat",
     "points_to",
 )
 

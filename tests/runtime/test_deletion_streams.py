@@ -1,11 +1,11 @@
 """Deletion-heavy and mixed streams through the full service stack.
 
 The weighted-delta core's safety net: retraction-skewed and
-churn-heavy streams must produce byte-identical materializations with
-the plan cache on or off, with chaos on or off, under every registered
-scheduler and every maintenance strategy — while the coalescing
-machinery (cancelled ops, no-op rounds, weighted index application)
-demonstrably engages.
+churn-heavy streams must match from-scratch naive evaluation after
+every round and land on byte-identical materializations with chaos on
+or off, under every registered scheduler and every maintenance
+strategy — while the coalescing machinery (cancelled ops, no-op
+rounds, weighted index application) demonstrably engages.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datalog import Delta, seminaive_evaluate
+from repro.datalog import Delta, naive_evaluate, seminaive_evaluate
 from repro.runtime import (
     ChaosPlan,
     HealthPolicy,
@@ -44,7 +44,10 @@ def _materialized_stream(program: str, kind: str, seed: int, **kw):
     return wl, rounds
 
 
-def _serve(wl, rounds, **svc_kw):
+def _serve(wl, rounds, check_naive=False, **svc_kw):
+    """Serve the pre-generated ``rounds``; with ``check_naive`` every
+    served round's materialization must equal naive evaluation of the
+    service's accumulated EDB."""
     svc = UpdateStreamService(
         wl.program, wl.edb, svc_kw.pop("scheduler"), workers=2, **svc_kw
     )
@@ -55,39 +58,38 @@ def _serve(wl, rounds, **svc_kw):
         rep = svc.run_round()
         if rep is not None:
             assert rep.materialization_ok
+            if check_naive:
+                oracle = naive_evaluate(wl.program, svc.database())
+                assert svc.materialization().as_dict() == (
+                    oracle.as_dict()
+                ), f"round {rep.index} diverges from naive evaluation"
             reports.append(rep)
     return svc, reports
 
 
 class TestCacheDifferential:
-    """Plan cache on vs off: byte-identical on retraction streams."""
+    """The plan cache against naive evaluation on retraction streams."""
 
     @pytest.mark.parametrize("sched_name", sorted(REGISTRY))
     @pytest.mark.parametrize("kind", ("deletions", "mixed"))
-    def test_cache_on_off_identical(self, sched_name, kind):
+    def test_vs_naive(self, sched_name, kind):
+        """Every served round equals naive evaluation of the service's
+        accumulated EDB."""
         wl, rounds = _materialized_stream("flat", kind, seed=11,
                                           batch_size=3)
-        cold, _ = _serve(
-            wl, rounds, scheduler=REGISTRY[sched_name](), plan_cache=False
+        svc, reports = _serve(
+            wl, rounds, check_naive=True, scheduler=REGISTRY[sched_name]()
         )
-        cached, _ = _serve(
-            wl, rounds, scheduler=REGISTRY[sched_name](), plan_cache=True
-        )
-        assert cold.materialization() is not None
-        assert (
-            cold.materialization().as_dict()
-            == cached.materialization().as_dict()
-        )
-        assert cold.database().as_dict() == cached.database().as_dict()
+        assert reports and svc.materialization() is not None
 
     def test_recursive_program_deletion_stream(self):
         # deletion-heavy streams over the recursive TC workload too —
-        # the deletion path that exercises DRed inside the compiler
+        # the compiler re-runs semi-naive evaluation over the shrunken
+        # EDB (it does not run DRed), so retractions can shorten the
+        # unrolled recursion
         wl, rounds = _materialized_stream("tc", "deletions", seed=7,
                                           batch_size=2)
-        svc, _ = _serve(
-            wl, rounds, scheduler=REGISTRY["hybrid"](), plan_cache=True
-        )
+        svc, _ = _serve(wl, rounds, scheduler=REGISTRY["hybrid"]())
         mat = svc.materialization()
         assert mat is not None
         oracle, _ = seminaive_evaluate(wl.program, svc.database())
@@ -193,9 +195,7 @@ class TestCoalescing:
     def test_mixed_stream_reports_cancellations(self):
         wl, rounds = _materialized_stream("flat", "mixed", seed=17,
                                           batch_size=3)
-        svc, reports = _serve(
-            wl, rounds, scheduler=REGISTRY["hybrid"](), plan_cache=True
-        )
+        svc, reports = _serve(wl, rounds, scheduler=REGISTRY["hybrid"]())
         reg = svc.metrics.registry
         assert reg.counter("cancelled_ops").value > 0
         assert reg.counter("noop_rounds").value > 0
@@ -268,10 +268,7 @@ class TestRandomizedStreams:
     def test_stream_matches_from_scratch(self, seed, kind):
         wl, rounds = _materialized_stream("flat", kind, seed=seed,
                                           batch_size=3)
-        svc, _ = _serve(
-            wl, rounds, scheduler=REGISTRY["levelbased"](),
-            plan_cache=True,
-        )
+        svc, _ = _serve(wl, rounds, scheduler=REGISTRY["levelbased"]())
         mat = svc.materialization()
         if mat is None:
             return

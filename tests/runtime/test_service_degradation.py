@@ -17,6 +17,7 @@ import pytest
 from repro.datalog.incremental import merge_deltas
 from repro.runtime import (
     BackpressureError,
+    ChaosInjector,
     ChaosPlan,
     HealthMonitor,
     HealthPolicy,
@@ -163,6 +164,42 @@ def test_service_degrades_to_serial_fallback_and_recovers():
     assert r2.metrics.degraded is False
     assert svc.health.state is HealthState.HEALTHY
     assert any(t[3] == "probe-succeeded" for t in svc.health.transitions)
+
+
+def test_degraded_round_bypasses_the_plan_cache():
+    """A degraded round compiles and plans through a private cache: the
+    warm cache's counters do not move, and the round's interning
+    metrics come from the pool the round actually used."""
+    wl = live_workload("retail", seed=21)
+    svc = UpdateStreamService(
+        wl.program,
+        wl.edb,
+        REGISTRY["hybrid"](),
+        workers=2,
+        max_round_retries=10,
+        health=HealthPolicy(degrade_after=2, fail_after=8, probe_after=1),
+    )
+    svc.submit(wl.random_batch())
+    assert svc.run_round().metrics.degraded is False  # warms the cache
+    # compile-phase faults fire before the round touches any pool, so
+    # the warm pool's counters stand still from here on
+    svc.chaos = ChaosInjector(ChaosPlan(seed=1, compile_fail_prob=1.0))
+    svc.submit(wl.random_batch())
+    for _ in range(2):
+        with pytest.raises(InjectedPhaseFault):
+            svc.run_round()
+    assert svc.health.state is HealthState.DEGRADED
+    svc.chaos = None
+
+    keys = ("hits", "misses", "plan_binds", "plan_patches", "rollbacks")
+    before = {k: svc.plan_cache.stats()[k] for k in keys}
+    warm_probes = svc.plan_cache.pool.stats()["columnar_probes"]
+    report = svc.run_round()
+    assert report.metrics.degraded is True
+    assert report.materialization_ok
+    assert {k: svc.plan_cache.stats()[k] for k in keys} == before
+    assert report.metrics.columnar_probes > 0
+    assert svc.plan_cache.pool.stats()["columnar_probes"] == warm_probes
 
 
 def test_service_trips_to_failed_with_intact_queue():

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.datalog import Delta, seminaive_evaluate
+from repro.datalog import Delta, naive_evaluate, seminaive_evaluate
 from repro.runtime import (
     RoundVerificationError,
     UnitExecutionError,
@@ -38,6 +38,22 @@ def make_service(scheduler="hybrid", **kwargs):
         wl.program, wl.edb, REGISTRY[scheduler](), workers=4, **kwargs
     )
     return wl, svc
+
+
+def generated_facts(wl) -> dict:
+    """The EDB the workload's stream has generated so far."""
+    return {p: set(f) for p, f in wl._mirror.items() if f}
+
+
+def assert_matches_naive(wl, svc, facts, where=""):
+    """The service's accumulated EDB holds exactly ``facts`` (no update
+    lost or applied twice) and its materialization equals naive
+    evaluation of that EDB."""
+    edb = svc.database()
+    live = {p: set(r) for p, r in edb.relations.items() if len(r)}
+    assert live == facts, where
+    oracle = naive_evaluate(wl.program, edb)
+    assert svc.materialization().as_dict() == oracle.as_dict(), where
 
 
 class _Boom(RuntimeError):
@@ -218,7 +234,6 @@ class TestPlanCacheRollback:
 
     def test_failed_round_rolls_back_staged_compile(self, monkeypatch):
         wl, svc = make_service("hybrid")
-        assert svc.plan_cache is not None
         fail_n_rounds(monkeypatch, 1)
         svc.submit(wl.random_batch(2))
         with pytest.raises(UnitExecutionError):
@@ -283,35 +298,22 @@ class TestPlanCacheRollback:
         assert svc.plan_cache.stats()["rollbacks"] == 1
         assert svc.pending_batches() == 1
 
-    def test_cached_stream_with_midstream_failure_matches_uncached(
-        self, monkeypatch
-    ):
-        """Round-by-round differential across a failure: a cached
-        service that crashes and retries mid-stream stays byte-identical
-        to an uncached service fed the same update stream."""
-        wl_a, svc_a = make_service("hybrid")
-        wl_b, svc_b = make_service("hybrid", plan_cache=False)
-        assert svc_b.plan_cache is None
+    def test_midstream_failure_matches_naive(self, monkeypatch):
+        """Round-by-round oracle across a failure: a cached service
+        that crashes and retries mid-stream matches naive evaluation of
+        its accumulated EDB after every round."""
+        wl, svc = make_service("hybrid")
 
         calls = fail_n_rounds(monkeypatch, 0)  # armed below
         for i in range(5):
+            svc.submit(wl.random_batch(2))
             if i == 2:
-                calls["n"] = -1  # next executor run (svc_a's) crashes
-            svc_a.submit(wl_a.random_batch(2))
-            if i == 2:
+                calls["n"] = -1  # the next executor run crashes
                 with pytest.raises(UnitExecutionError):
-                    svc_a.run_round()
-                rep_a = svc_a.run_round()  # retry
-            else:
-                rep_a = svc_a.run_round()
-            svc_b.submit(wl_b.random_batch(2))
-            rep_b = svc_b.run_round()
-            assert rep_a.materialization_ok and rep_b.materialization_ok
-            assert (
-                svc_a.materialization().as_dict()
-                == svc_b.materialization().as_dict()
-            ), f"round {i}: cached (with failure) diverges from uncached"
-        assert svc_a.database().as_dict() == svc_b.database().as_dict()
+                    svc.run_round()
+            rep = svc.run_round()  # the retry, in round 2
+            assert rep.materialization_ok
+            assert_matches_naive(wl, svc, generated_facts(wl), f"round {i}")
 
     def test_commit_requires_matching_staged_compile(self):
         from repro.datalog import compile_update
@@ -335,9 +337,8 @@ class TestRollbackAtEveryUnitIndex:
     round, then for each unit the cached round actually executes,
     inject a one-shot failure at exactly that unit
     (``ChaosPlan(fail_units=(node,), fail_round=1)`` — epoch 1 is the
-    first cached round), assert the rollback, and check the retry
-    converges byte-identically to an uncached service fed the same
-    batches.
+    first cached round), assert the rollback, and check every round
+    against naive evaluation of the service's accumulated EDB.
     """
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
@@ -345,33 +346,25 @@ class TestRollbackAtEveryUnitIndex:
         from repro.runtime import ChaosPlan
 
         wl = live_workload("retail", seed=13)
-        batches = [wl.random_batch(2) for _ in range(2)]
-
-        # cold oracle: same stream, no plan cache, no chaos
-        cold = UpdateStreamService(
-            wl.program, wl.edb, REGISTRY[name](), workers=4,
-            plan_cache=False,
-        )
-        for b in batches:
-            cold.submit(b)
-            cold.run_round()
-        want = cold.materialization().as_dict()
+        batches, facts = [], []
+        for _ in range(2):
+            batches.append(wl.random_batch(2))
+            facts.append(generated_facts(wl))
 
         # probe run discovers which units the cached round executes
         probe = UpdateStreamService(
             wl.program, wl.edb, REGISTRY[name](), workers=4
         )
-        probe.submit(batches[0])
-        probe.run_round()
-        probe.submit(batches[1])
-        rep = probe.run_round()
+        for b, want in zip(batches, facts):
+            probe.submit(b)
+            rep = probe.run_round()
+            assert_matches_naive(wl, probe, want, "probe")
         executed = [
             n
             for n in range(rep.compiled.trace.dag.n_nodes)
             if rep.compiled.trace.propagation.executed[n]
         ]
         assert executed, "cached round executed nothing — bad workload"
-        assert probe.materialization().as_dict() == want
 
         for node in executed:
             svc = UpdateStreamService(
@@ -384,6 +377,7 @@ class TestRollbackAtEveryUnitIndex:
             )
             svc.submit(batches[0])
             assert svc.run_round().materialization_ok  # warm, epoch 0
+            assert_matches_naive(wl, svc, facts[0], f"{name}: warm round")
             svc.submit(batches[1])
             with pytest.raises(UnitExecutionError) as ei:
                 svc.run_round()  # cached round, epoch 1: dies at `node`
@@ -394,8 +388,9 @@ class TestRollbackAtEveryUnitIndex:
             # and must recompile from the committed baseline
             retry = svc.run_round()
             assert retry is not None and retry.materialization_ok
-            assert svc.materialization().as_dict() == want, (
-                f"{name}: rollback after failing unit {node} diverged"
+            assert_matches_naive(
+                wl, svc, facts[1],
+                f"{name}: rollback after failing unit {node} diverged",
             )
 
 
